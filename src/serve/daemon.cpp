@@ -1,13 +1,22 @@
 #include "serve/daemon.hpp"
 
 #include <exception>
+#include <memory>
 #include <utility>
+#include <vector>
 
-#include "analysis/diagnostic.hpp"
-#include "analysis/passes.hpp"
 #include "backend/register_backends.hpp"
 
 namespace quml::serve {
+
+namespace {
+
+/// Thrown by the admitted hook to refuse a job as SHED (nothing is queued).
+struct ShedSignal {
+  std::string detail;
+};
+
+}  // namespace
 
 const char* to_string(SubmitOutcome outcome) noexcept {
   switch (outcome) {
@@ -19,31 +28,17 @@ const char* to_string(SubmitOutcome outcome) noexcept {
 }
 
 JobDaemon::JobDaemon(DaemonConfig config)
-    : config_(std::move(config)), svc_(config_.service), store_(config_.store_path) {
+    : config_(std::move(config)), store_(config_.store_path), svc_(config_.service) {
   backend::register_builtin_backends();  // idempotent; the daemon may be first
-  paused_ = config_.start_paused;
-  next_ticket_ = store_.next_ticket();
-  for (const auto& [tenant, policy] : config_.tenants) queue_.set_weight(tenant, policy.weight);
-
+  std::vector<PendingJob> pending;
+  {
+    MutexLock lock(mutex_);
+    next_ticket_ = store_.next_ticket();
+    pending = store_.pending();
+  }
   // Crash recovery: every enqueued-but-unsettled job in the journal goes
-  // back onto the queue with its original ticket and bundle.
-  for (PendingJob& job : store_.pending()) {
-    queue_.set_weight(job.tenant, policy_for_(job.tenant).weight);
-    Record record;
-    record.tenant = job.tenant;
-    record.bundle = std::move(job.bundle);
-    const std::uint64_t ticket = job.ticket;
-    records_.emplace(ticket, std::move(record));
-    queue_.push(job.tenant, ticket);
-    ++counters_.replayed;
-    ++counters_.queued;
-  }
-
-  const int executors = config_.executors > 0 ? config_.executors : 1;
-  executors_.reserve(static_cast<std::size_t>(executors));
-  for (int i = 0; i < executors; ++i) {
-    executors_.emplace_back([this] { executor_loop_(); });
-  }
+  // back into the service with its original ticket and bundle.
+  for (PendingJob& job : pending) replay_(std::move(job));
 }
 
 JobDaemon::~JobDaemon() { stop(); }
@@ -53,79 +48,94 @@ const TenantPolicy& JobDaemon::policy_for_(const std::string& tenant) const {
   return it != config_.tenants.end() ? it->second : config_.default_policy;
 }
 
+void JobDaemon::replay_(PendingJob job) {
+  const std::uint64_t ticket = job.ticket;
+  const auto adopt = [&](svc::JobHandle handle) {
+    MutexLock lock(mutex_);
+    Record& record = records_[ticket];
+    record.tenant = job.tenant;
+    record.job = std::move(handle);
+    ++unsettled_;
+    ++counters_.replayed;
+  };
+  svc::SubmitOptions options;
+  options.tenant = job.tenant;
+  options.weight = policy_for_(job.tenant).weight;
+  options.admitted = adopt;
+  options.settled = [this, ticket](const svc::JobHandle& handle) { on_settled_(ticket, handle); };
+  try {
+    svc_.submit(std::move(job.bundle), std::move(options));
+  } catch (const std::exception& e) {
+    // No longer admissible (say, its engine is gone): it settles FAILED now
+    // rather than replaying on every boot.
+    adopt(svc::JobHandle());
+    settle_(ticket, svc::JobStatus::Failed, "", e.what(), 0, std::nullopt);
+  }
+}
+
 SubmitReply JobDaemon::submit(const std::string& tenant, core::JobBundle bundle) {
   SubmitReply reply;
+  reply.outcome = SubmitOutcome::Rejected;
   if (tenant.empty()) {
-    reply.outcome = SubmitOutcome::Rejected;
     reply.detail = "tenant identity required";
     MutexLock lock(mutex_);
     ++counters_.rejected;
     return reply;
   }
 
-  // Admission: the error-severity QA passes, rendered exactly like
-  // `quml_validate --lint` via DiagnosticError.  Defective bundles never
-  // touch the store or a queue slot.
-  analysis::AnalyzeOptions options;
-  options.require_bound = true;
-  options.resource_notes = false;
-  const analysis::Report report = analysis::analyze_bundle(bundle, options);
-  if (report.has_errors()) {
-    const analysis::DiagnosticError rendered(bundle.job_id, report.errors());
-    reply.outcome = SubmitOutcome::Rejected;
-    reply.detail = rendered.what();
-    MutexLock lock(mutex_);
-    ++counters_.rejected;
-    return reply;
-  }
-
   const TenantPolicy& policy = policy_for_(tenant);
-  queue_.set_weight(tenant, policy.weight);
-  {
+  PendingJob journalled{0, tenant, bundle};  // what the enqueue record persists
+  // Minted by the admitted hook, read by the settled hook (which cannot run
+  // before the job is queued, i.e. after admission returned).
+  const auto ticket = std::make_shared<std::uint64_t>(0);
+  svc::SubmitOptions options;
+  options.tenant = tenant;
+  options.weight = policy.weight;
+  options.max_queued = policy.max_queued;
+  options.admitted = [&](const svc::JobHandle& job) {
     MutexLock lock(mutex_);
-    if (stopping_ || quiescing_) {
-      ++counters_.shed;
-      reply.outcome = SubmitOutcome::Shed;
-      reply.detail = "daemon is shutting down";
-      return reply;
-    }
-    // Depth check and push are serialized under mutex_, so the bound is
-    // exact: concurrent pops only shrink the lane in between.
-    const std::size_t depth = queue_.depth(tenant);
-    if (depth >= policy.max_queued) {
-      ++counters_.shed;
-      reply.outcome = SubmitOutcome::Shed;
-      reply.detail = "tenant '" + tenant + "' queue is full (" + std::to_string(depth) + "/" +
-                     std::to_string(policy.max_queued) + "); retry after the backlog drains";
-      return reply;
-    }
-    const std::uint64_t ticket = next_ticket_;
-    PendingJob job;
-    job.ticket = ticket;
-    job.tenant = tenant;
-    job.bundle = bundle;
+    if (stopping_ || quiescing_) throw ShedSignal{"daemon is shutting down"};
+    journalled.ticket = next_ticket_;
     try {
-      store_.append_enqueue(job);  // persisted before it can run
+      store_.append_enqueue(journalled);  // persisted before it can run
     } catch (const Error& e) {
       // Journal failure (e.g. disk full): the job was never accepted, and
       // the caller's thread — possibly the server's poll loop — must hear
       // that as a reply, not an exception.  The unused ticket is not burned.
-      ++counters_.shed;
-      reply.outcome = SubmitOutcome::Shed;
-      reply.detail = std::string("job store append failed: ") + e.what();
-      return reply;
+      throw ShedSignal{std::string("job store append failed: ") + e.what()};
     }
-    ++next_ticket_;
-    Record record;
+    *ticket = next_ticket_++;
+    Record& record = records_[*ticket];
     record.tenant = tenant;
-    record.bundle = std::move(bundle);
-    records_.emplace(ticket, std::move(record));
+    record.job = job;
     ++counters_.accepted;
-    ++counters_.queued;
-    queue_.push(tenant, ticket);
+    ++unsettled_;
+  };
+  options.settled = [this, ticket](const svc::JobHandle& job) { on_settled_(*ticket, job); };
+
+  // Routing, the capacity check and the admission analysis all run inside
+  // svc_.submit: any synchronous throw there is a job that could never run.
+  try {
+    svc_.submit(std::move(bundle), std::move(options));
     reply.outcome = SubmitOutcome::Accepted;
-    reply.ticket = ticket;
+    reply.ticket = *ticket;
+    return reply;
+  } catch (const ShedSignal& shed) {
+    reply.outcome = SubmitOutcome::Shed;
+    reply.detail = shed.detail;
+  } catch (const svc::QueueFullError& e) {
+    reply.outcome = SubmitOutcome::Shed;
+    reply.detail = e.what();
+  } catch (const std::exception& e) {
+    reply.detail = e.what();
   }
+  MutexLock lock(mutex_);
+  if (reply.outcome == SubmitOutcome::Rejected && stopping_) {
+    // After stop() the service itself refuses: shutdown, not a defect.
+    reply.outcome = SubmitOutcome::Shed;
+    reply.detail = "daemon is shutting down";
+  }
+  ++(reply.outcome == SubmitOutcome::Shed ? counters_.shed : counters_.rejected);
   return reply;
 }
 
@@ -134,7 +144,13 @@ JobInfo JobDaemon::info_locked_(std::uint64_t ticket, const Record& record) cons
   info.known = true;
   info.ticket = ticket;
   info.tenant = record.tenant;
-  info.status = svc::to_string(record.status);
+  if (record.job.valid()) {
+    // Unsettled: a job the service already finished still reads RUNNING
+    // until the settled hook has cached its outcome here.
+    info.status = record.job.status() == svc::JobStatus::Queued ? "QUEUED" : "RUNNING";
+  } else {
+    info.status = svc::to_string(record.status);
+  }
   info.engine = record.engine;
   info.error = record.error;
   info.attempts = record.attempts;
@@ -169,35 +185,34 @@ void JobDaemon::quiesce() {
   quiescing_ = true;
 }
 
-void JobDaemon::resume() {
-  {
-    MutexLock lock(mutex_);
-    paused_ = false;
-  }
-  pause_cv_.notify_all();
-}
-
 void JobDaemon::drain() {
   MutexLock lock(mutex_);
-  while (counters_.queued + counters_.in_flight > 0) settled_cv_.wait(mutex_);
+  while (unsettled_ > 0) settled_cv_.wait(mutex_);
 }
 
 void JobDaemon::stop() {
+  std::vector<svc::JobHandle> live;
   {
     MutexLock lock(mutex_);
     stopping_ = true;
+    for (const auto& [ticket, record] : records_)
+      if (record.job.valid()) live.push_back(record.job);
   }
-  pause_cv_.notify_all();
-  queue_.close();  // parked pops return nullopt; queued tickets stay stored
-  for (auto& thread : executors_) {
-    if (thread.joinable()) thread.join();
-  }
-  executors_.clear();
+  // Abandon the backlog to the store: a cancelled job settles without a
+  // settle record (on_settled_), so it replays on the next boot.  Running
+  // jobs refuse the cancel; shutdown() lets them finish and settle.
+  for (const svc::JobHandle& job : live) job.cancel();
+  svc_.shutdown();
 }
 
 JobDaemon::Stats JobDaemon::stats() const {
   MutexLock lock(mutex_);
-  return counters_;
+  Stats stats = counters_;
+  for (const auto& [ticket, record] : records_) {
+    if (!record.job.valid()) continue;
+    ++(record.job.status() == svc::JobStatus::Queued ? stats.queued : stats.in_flight);
+  }
+  return stats;
 }
 
 void JobDaemon::set_settle_callback(SettleCallback callback) {
@@ -205,53 +220,27 @@ void JobDaemon::set_settle_callback(SettleCallback callback) {
   on_settle_ = std::move(callback);
 }
 
-void JobDaemon::executor_loop_() {
-  for (;;) {
+void JobDaemon::on_settled_(std::uint64_t ticket, const svc::JobHandle& job) {
+  svc_.forget(job.id());  // the daemon's record is the only one kept
+  const svc::JobStatus status = job.status();
+  if (status == svc::JobStatus::Cancelled) {
+    // Only stop() cancels: the job stays pending in the journal.
     {
       MutexLock lock(mutex_);
-      while (paused_ && !stopping_) pause_cv_.wait(mutex_);
-      if (stopping_) return;
+      records_.erase(ticket);
+      --unsettled_;
     }
-    const auto ticket = queue_.pop();
-    if (!ticket) return;  // closed: abandon to the store
-
-    core::JobBundle bundle;
-    {
-      MutexLock lock(mutex_);
-      const auto it = records_.find(*ticket);
-      if (it == records_.end()) continue;
-      it->second.status = svc::JobStatus::Running;
-      bundle = it->second.bundle;
-      --counters_.queued;
-      ++counters_.in_flight;
-    }
-
-    svc::JobStatus status = svc::JobStatus::Failed;
-    std::string engine;
-    std::string error;
-    std::size_t attempts = 0;
-    std::optional<core::ExecutionResult> result;
-    try {
-      const svc::JobId id = svc_.submit(bundle);
-      const svc::JobHandle handle = svc_.handle(id);
-      handle.wait();
-      status = handle.status();
-      engine = handle.engine();
-      attempts = handle.attempts();
-      if (status == svc::JobStatus::Done) {
-        result = handle.result();
-      } else {
-        error = handle.error();
-      }
-      svc_.forget(id);
-    } catch (const std::exception& e) {
-      // Routing/admission errors from svc_.submit arrive here synchronously;
-      // the job settles FAILED with the rendered message.
-      status = svc::JobStatus::Failed;
-      error = e.what();
-    }
-    settle_(*ticket, status, std::move(engine), std::move(error), attempts, std::move(result));
+    settled_cv_.notify_all();
+    return;
   }
+  std::optional<core::ExecutionResult> result;
+  std::string error;
+  if (status == svc::JobStatus::Done) {
+    result = job.result();
+  } else {
+    error = job.error();
+  }
+  settle_(ticket, status, job.engine(), std::move(error), job.attempts(), std::move(result));
 }
 
 void JobDaemon::settle_(std::uint64_t ticket, svc::JobStatus status, std::string engine,
@@ -263,22 +252,21 @@ void JobDaemon::settle_(std::uint64_t ticket, svc::JobStatus status, std::string
     const auto it = records_.find(ticket);
     if (it == records_.end()) return;
     Record& record = it->second;
+    record.job = svc::JobHandle();
     record.status = status;
     record.engine = std::move(engine);
     record.error = std::move(error);
     record.attempts = attempts;
     record.result = std::move(result);
-    // The bundle is spent: replay reads the store, not this cache.
-    record.bundle = core::JobBundle{};
     try {
       store_.append_settle(ticket, svc::to_string(status));
       if (store_.settled_records() >= config_.compact_after_settles) store_.compact();
     } catch (const Error&) {
-      // Journal trouble must not take the executor down; worst case the job
+      // Journal trouble must not take the worker down; worst case the job
       // replays (deterministically) on the next boot.
     }
     ++counters_.settled;
-    --counters_.in_flight;
+    --unsettled_;
     info = info_locked_(ticket, record);
     // Retention: only the newest `settled_retention` settled records stay
     // queryable; older ones are evicted so memory tracks the backlog, not

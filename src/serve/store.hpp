@@ -7,7 +7,9 @@
 //   {"rec":"settle","ticket":N,"status":"DONE"}
 //
 // Accepted jobs append an enqueue record *before* they enter the run queue;
-// terminal jobs append a settle record.  On boot the journal is replayed:
+// terminal jobs append a settle record.  Every append is fflush()ed, never
+// fsync()ed: a record survives a killed process, not a kernel crash or power
+// loss (the page cache may still hold it).  On boot the journal is replayed:
 // enqueued-but-never-settled jobs are the daemon's recovery set, re-run with
 // their original tickets and bundles (the bundle JSON is the lossless
 // artifact format, so exec.seed survives and results are bit-identical to

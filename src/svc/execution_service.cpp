@@ -49,6 +49,9 @@ struct JobRecord {
   RetryPolicy policy;
   std::uint64_t jitter_seed = 0;  // exec.seed: deterministic backoff jitter
   std::chrono::steady_clock::time_point submitted{};
+  std::string tenant;  // fair-share lane key (SubmitOptions)
+  double weight = 1.0;
+  std::function<void(const JobHandle&)> settled;  // SubmitOptions::settled
   /// Internal worker task (sweep shards): when set, the worker runs it with
   /// its private Backend instance instead of backend->run(bundle).  The
   /// instance is nullptr when the worker could not create its backend; the
@@ -324,22 +327,76 @@ std::size_t SweepHandle::cancel() const {
 
 // --- ExecutionService -------------------------------------------------------
 
-/// Per-engine FIFO + worker pool.  `workers` is written once while the
-/// creating thread holds the service mutex (queue_for) and read only by
+namespace {
+
+constexpr double kMinWeight = 1e-6;
+
+/// Stride-scheduled tenant lanes (the policy is described at SubmitOptions).
+/// Not synchronized: the owning BackendQueue's mutex guards it.
+class TenantLanes {
+ public:
+  void push(std::shared_ptr<JobRecord> rec) {
+    Lane& lane = lanes_[rec->tenant];
+    lane.weight = std::max(rec->weight, kMinWeight);
+    // Rejoin at the current virtual time: idle lanes earn no backlog credit.
+    if (lane.fifo.empty()) lane.pass = std::max(lane.pass, virtual_time_);
+    lane.fifo.push_back(std::move(rec));
+    ++size_;
+  }
+
+  /// The next record in fair-share order; nullptr when every lane is empty.
+  std::shared_ptr<JobRecord> pop() {
+    Lane* best = nullptr;
+    for (auto& [tenant, lane] : lanes_) {
+      if (lane.fifo.empty()) continue;
+      // Strict < keeps ties deterministic: the first tenant in map order wins.
+      if (best == nullptr || lane.pass < best->pass) best = &lane;
+    }
+    if (best == nullptr) return nullptr;
+    std::shared_ptr<JobRecord> rec = std::move(best->fifo.front());
+    best->fifo.pop_front();
+    --size_;
+    best->pass += 1.0 / best->weight;
+    virtual_time_ = std::max(virtual_time_, best->pass);
+    return rec;
+  }
+
+  std::size_t size() const { return size_; }
+  std::size_t depth(const std::string& tenant) const {
+    const auto it = lanes_.find(tenant);
+    return it == lanes_.end() ? 0 : it->second.fifo.size();
+  }
+
+ private:
+  struct Lane {
+    std::deque<std::shared_ptr<JobRecord>> fifo;
+    double weight = 1.0;
+    double pass = 0.0;
+  };
+  std::map<std::string, Lane> lanes_;
+  double virtual_time_ = 0.0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace
+
+/// Per-engine tenant lanes + worker pool.  `workers` is written once while
+/// the creating thread holds the service mutex (queue_for) and read only by
 /// shutdown() after `stopping_` is set, which is why it sits outside the
 /// queue mutex; everything the workers and producers share is guarded.
 struct ExecutionService::BackendQueue {
   std::string engine;  // canonical; immutable after queue_for
   Mutex mutex;
   CondVar cv;
-  std::deque<std::shared_ptr<JobRecord>> fifo QUML_GUARDED_BY(mutex);
+  TenantLanes lanes QUML_GUARDED_BY(mutex);
   double backlog_us QUML_GUARDED_BY(mutex) = 0.0;  // queued + running estimated work
+  bool paused QUML_GUARDED_BY(mutex) = false;      // mirrors the service's paused_
   bool stop QUML_GUARDED_BY(mutex) = false;
   std::vector<std::thread> workers;
 };
 
 ExecutionService::ExecutionService(ServiceConfig config)
-    : config_(std::move(config)), breakers_(config_.breaker) {
+    : config_(std::move(config)), breakers_(config_.breaker), paused_(config_.start_paused) {
   // Touch the registry singleton now: it outlives this service even when the
   // service itself is a static (shared()), so workers joined during static
   // destruction can never see a destroyed registry.
@@ -366,8 +423,24 @@ std::shared_ptr<JobRecord> ExecutionService::route(
   auto rec = std::make_shared<JobRecord>();
   const std::string requested =
       bundle.context ? bundle.context->exec.engine : std::string();
-  if (requested.empty())
+  // Semantic admission: the error-severity analysis passes run synchronously
+  // on the submitting thread, so a defective bundle (out-of-range carriers,
+  // unbound sweep symbols, non-unitary matrices, dead clbits) is rejected
+  // with instruction-level QA diagnostics before it can occupy a queue slot.
+  analysis::AnalyzeOptions lint_options;
+  lint_options.bindings = sweep_bindings;
+  lint_options.require_bound = sweep_bindings == nullptr;
+  lint_options.resource_notes = false;  // notes can't reject; skip on the hot path
+  const auto admit = [&] {
+    const analysis::Report lint = analysis::analyze_bundle(bundle, lint_options);
+    if (lint.has_errors())
+      throw analysis::DiagnosticError("bundle '" + bundle.job_id + "' rejected at admission",
+                                      lint.errors());
+  };
+  if (requested.empty()) {
+    admit();  // nothing to route to, but a defective bundle names its defects
     throw BackendError("bundle has no exec.engine to dispatch on");
+  }
 
   auto& registry = core::BackendRegistry::instance();
   if (requested == "auto") {
@@ -401,19 +474,8 @@ std::shared_ptr<JobRecord> ExecutionService::route(
       }
     throw ValidationError(message);
   }
-  // Semantic admission: the error-severity analysis passes run synchronously
-  // on the submitting thread, so a defective bundle (out-of-range carriers,
-  // unbound sweep symbols, non-unitary matrices, dead clbits) is rejected
-  // with instruction-level QA diagnostics before it can occupy a queue slot.
-  analysis::AnalyzeOptions lint_options;
   lint_options.capability = cap;
-  lint_options.bindings = sweep_bindings;
-  lint_options.require_bound = sweep_bindings == nullptr;
-  lint_options.resource_notes = false;  // notes can't reject; skip on the hot path
-  const analysis::Report lint = analysis::analyze_bundle(bundle, lint_options);
-  if (lint.has_errors())
-    throw analysis::DiagnosticError("bundle '" + bundle.job_id + "' rejected at admission",
-                                    lint.errors());
+  admit();
   rec->estimate = sched::estimate(bundle, cap);
   rec->backlog_contribution_us = rec->estimate.feasible ? rec->estimate.duration_us : 0.0;
   const core::ExecPolicy exec = bundle.exec_policy();
@@ -430,6 +492,10 @@ ExecutionService::BackendQueue* ExecutionService::queue_for(const std::string& e
   auto queue = std::make_unique<BackendQueue>();
   queue->engine = engine;
   BackendQueue* raw = queue.get();
+  {
+    MutexLock qlock(raw->mutex);
+    raw->paused = paused_;
+  }
   const int workers = config_.workers_for(engine);
   raw->workers.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w)
@@ -438,11 +504,39 @@ ExecutionService::BackendQueue* ExecutionService::queue_for(const std::string& e
   return raw;
 }
 
-void ExecutionService::enqueue(const std::shared_ptr<JobRecord>& rec) {
+ExecutionService::BackendQueue* ExecutionService::push_locked(
+    const std::shared_ptr<JobRecord>& rec) {
+  BackendQueue* queue = queue_for(rec->engine);
+  ++outstanding_;
+  // Push while still holding the service mutex (service -> queue is the
+  // sanctioned nesting order): releasing it first would open a window where
+  // shutdown() drains and joins the pool, and this job lands in a dead queue
+  // as QUEUED forever.
+  MutexLock qlock(queue->mutex);
+  queue->lanes.push(rec);
+  queue->backlog_us += rec->backlog_contribution_us;
+  return queue;
+}
+
+void ExecutionService::enqueue(const std::shared_ptr<JobRecord>& rec,
+                               const SubmitOptions& options) {
   BackendQueue* queue = nullptr;
   {
     MutexLock lock(mutex_);
     if (stopping_) throw BackendError("ExecutionService is shut down");
+    if (options.max_queued != SubmitOptions::kUnbounded) {
+      // The tenant's queued jobs on every engine, plus those in their hook.
+      const auto it = admitting_.find(rec->tenant);
+      std::size_t depth = it == admitting_.end() ? 0 : it->second;
+      for (const auto& [_, other] : queues_) {
+        MutexLock qlock(other->mutex);
+        depth += other->lanes.depth(rec->tenant);
+      }
+      if (depth >= options.max_queued)
+        throw QueueFullError("tenant '" + rec->tenant + "' queue is full (" +
+                             std::to_string(depth) + "/" + std::to_string(options.max_queued) +
+                             "); retry after the backlog drains");
+    }
     rec->id = next_id_++;
     records_.emplace(rec->id, rec);
     bool born_failed = false;
@@ -450,24 +544,43 @@ void ExecutionService::enqueue(const std::shared_ptr<JobRecord>& rec) {
       MutexLock rlock(rec->mutex);
       born_failed = rec->failure != nullptr;
     }
-    if (!born_failed) {
-      queue = queue_for(rec->engine);
-      ++outstanding_;
-      // Push while still holding the service mutex (service -> queue is the
-      // sanctioned nesting order): releasing it first would open a window
-      // where shutdown() drains and joins the pool, and this job lands in a
-      // dead queue as QUEUED forever.
-      MutexLock qlock(queue->mutex);
-      queue->fifo.push_back(rec);
-      queue->backlog_us += rec->backlog_contribution_us;
+    if (options.admitted) {
+      ++admitting_[rec->tenant];  // holds the tenant's slot while the hook runs
+    } else if (!born_failed) {
+      queue = push_locked(rec);
     }
+  }
+  if (options.admitted) {
+    // The hook runs unlocked (it may take its own locks and do I/O); its slot
+    // keeps the bound exact, and shutdown() waits for it, so a job whose hook
+    // returns always lands in a live queue.
+    std::exception_ptr refused;
+    try {
+      options.admitted(JobHandle(rec));
+    } catch (...) {
+      refused = std::current_exception();
+    }
+    {
+      MutexLock lock(mutex_);
+      const auto it = admitting_.find(rec->tenant);
+      if (--it->second == 0) admitting_.erase(it);
+      if (admitting_.empty()) idle_cv_.notify_all();
+      if (refused)
+        records_.erase(rec->id);
+      else
+        queue = push_locked(rec);
+    }
+    if (refused) std::rethrow_exception(refused);
   }
   if (queue) queue->cv.notify_one();
 }
 
-JobId ExecutionService::submit(core::JobBundle bundle) {
+JobId ExecutionService::submit(core::JobBundle bundle, SubmitOptions options) {
   auto rec = route(std::move(bundle));
-  enqueue(rec);
+  rec->tenant = std::move(options.tenant);
+  rec->weight = options.weight;
+  rec->settled = std::move(options.settled);
+  enqueue(rec, options);
   return rec->id;
 }
 
@@ -709,7 +822,7 @@ std::size_t ExecutionService::queue_depth(const std::string& engine) const {
   const auto it = queues_.find(key);
   if (it == queues_.end()) return 0;
   MutexLock qlock(it->second->mutex);
-  return it->second->fifo.size();
+  return it->second->lanes.size();
 }
 
 std::vector<sched::BackendCapability> ExecutionService::capability_snapshot() const {
@@ -746,14 +859,19 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
   // Backend concurrency contract in core/registry.hpp).
   std::unique_ptr<core::Backend> backend;
   detail::t_on_worker_thread = true;
+  // Runs the job's settled hook, if any, before finish() so wait_all() covers it.
+  const auto settle = [](const std::shared_ptr<JobRecord>& rec) {
+    if (rec->settled) rec->settled(JobHandle(rec));
+  };
   for (;;) {
     std::shared_ptr<JobRecord> rec;
     {
       MutexLock lock(queue->mutex);
-      while (!queue->stop && queue->fifo.empty()) queue->cv.wait(queue->mutex);
-      if (queue->fifo.empty()) return;  // stop && drained
-      rec = queue->fifo.front();
-      queue->fifo.pop_front();
+      // stop overrides paused: shutdown() drains a paused service too.
+      while (!queue->stop && (queue->paused || queue->lanes.size() == 0))
+        queue->cv.wait(queue->mutex);
+      rec = queue->lanes.pop();
+      if (!rec) return;  // stop && drained
     }
 
     bool cancelled = false;
@@ -769,6 +887,7 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
       }
     }
     if (cancelled) {
+      settle(rec);
       finish(rec, *queue);
       continue;
     }
@@ -808,6 +927,7 @@ void ExecutionService::worker_loop(BackendQueue* queue) {
       rec->status = failure ? JobStatus::Failed : JobStatus::Done;
     }
     rec->cv.notify_all();
+    settle(rec);
     finish(rec, *queue);
   }
 }
@@ -874,6 +994,16 @@ std::string ExecutionService::failover_once(const std::shared_ptr<JobRecord>& re
   return best;
 }
 
+void ExecutionService::resume() {
+  MutexLock lock(mutex_);
+  paused_ = false;
+  for (auto& [_, queue] : queues_) {
+    MutexLock qlock(queue->mutex);
+    queue->paused = false;
+    queue->cv.notify_all();
+  }
+}
+
 void ExecutionService::wait_all() {
   MutexLock lock(mutex_);
   while (outstanding_ != 0) idle_cv_.wait(mutex_);
@@ -888,7 +1018,10 @@ void ExecutionService::shutdown() {
   std::vector<BackendQueue*> queues;
   {
     MutexLock lock(mutex_);
-    stopping_ = true;  // no new queues can appear past this point
+    stopping_ = true;
+    // Admitted hooks in progress still push (see enqueue); no new queue can
+    // appear once they are done.
+    while (!admitting_.empty()) idle_cv_.wait(mutex_);
     for (auto& [_, queue] : queues_) queues.push_back(queue.get());
   }
   // Idempotent: join() consumes joinability, so a destructor following an

@@ -2,10 +2,13 @@
 // Asynchronous, scheduler-integrated job execution service.
 //
 // This makes the paper's HPC analogy operational: jobs carrying cost hints
-// flow into per-backend FIFO queues drained by worker pools — like Slurm
-// jobs into partitions — instead of one blocking core::submit() call.
+// flow into per-backend queues drained by worker pools — like Slurm jobs into
+// partitions — instead of one blocking core::submit() call.
 //
 //   * submit() / submit_batch() return immediately with JobIds;
+//   * each backend queue is a set of stride-scheduled tenant lanes (weighted
+//     fair share, see SubmitOptions); callers that name no tenant share one
+//     lane, which pops in plain FIFO order;
 //   * handle(id) yields a JobHandle with status() / wait() / wait_for() /
 //     result() / cancel();
 //   * exec.engine == "auto" routes through sched::choose_backend with
@@ -23,6 +26,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -66,6 +71,9 @@ struct ServiceConfig {
   /// backends; inside a job it only gates *retry* attempts — the first
   /// attempt of every job is always admitted.
   BreakerConfig breaker;
+  /// Construct with every worker parked: jobs queue but none is claimed
+  /// until resume().  Lets tests fill the queues in a known order.
+  bool start_paused = false;
 
   int workers_for(const std::string& engine) const {
     const auto it = workers_per_engine.find(engine);
@@ -131,6 +139,45 @@ class JobHandle {
   std::shared_ptr<detail::JobRecord> rec_;
 };
 
+/// Raised by submit() when the job's tenant already has `max_queued` jobs
+/// waiting (SubmitOptions): backpressure, not a defect of the bundle.
+class QueueFullError : public BackendError {
+ public:
+  using BackendError::BackendError;
+};
+
+/// Per-job submission options; the defaults (shared unbounded lane, no
+/// hooks) are what core::submit and the batch/sweep paths use.
+///
+/// Fair share: each backend queue keeps one FIFO lane per tenant and pops by
+/// stride scheduling.  A pop serves the non-empty lane with the smallest
+/// `pass` and advances it by 1/weight, so under contention throughput
+/// converges to the weight ratio — a flooding tenant cannot starve others.
+/// A lane that was empty rejoins at max(own pass, the queue's virtual time):
+/// an idle tenant earns no credit to spend later as a burst.  Ties go to the
+/// lexicographically first tenant, so single-worker pop order is exact.
+struct SubmitOptions {
+  static constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+
+  /// Lane key; "" is the shared lane.
+  std::string tenant;
+  /// The lane's relative share of pops (clamped to a small positive value).
+  double weight = 1.0;
+  /// Bound on the tenant's jobs queued but not yet claimed by a worker,
+  /// summed over every engine; the next submit past it throws
+  /// QueueFullError before the admitted hook runs.  The default is no bound.
+  std::size_t max_queued = kUnbounded;
+  /// Runs on the submitting thread after routing and the admission
+  /// analysis, before the job is queued.  If it throws, nothing is queued
+  /// and the exception leaves submit().  If it returns, the job is queued
+  /// even when shutdown() starts meanwhile (shutdown waits for it).
+  std::function<void(const JobHandle&)> admitted;
+  /// Runs on the worker thread once the job is terminal (DONE, FAILED or
+  /// CANCELLED), with no service lock held, before wait_all() can return.
+  /// It must not throw: an exception leaving it ends the program.
+  std::function<void(const JobHandle&)> settled;
+};
+
 /// Client-side view of one parameter sweep: per-binding statuses and
 /// results.  Copyable; all methods are thread-safe and throw BackendError on
 /// a default-constructed handle.  Binding i always runs with the seed
@@ -186,8 +233,10 @@ class ExecutionService {
 
   /// Routes and enqueues one bundle, returning immediately.  Throws
   /// BackendError for an unknown/absent engine or when "auto" finds no
-  /// feasible backend — submission errors fail early and synchronously.
-  JobId submit(core::JobBundle bundle) QUML_EXCLUDES(mutex_);
+  /// feasible backend, ValidationError for a bundle too wide for its engine
+  /// or failing the admission analysis, and QueueFullError past the
+  /// tenant's bound — submission errors fail early and synchronously.
+  JobId submit(core::JobBundle bundle, SubmitOptions options = {}) QUML_EXCLUDES(mutex_);
 
   /// Routes and enqueues a batch.  Unlike submit(), a bundle whose routing
   /// fails still yields a JobId: its job is born FAILED with the error
@@ -222,7 +271,7 @@ class ExecutionService {
   /// Estimated microseconds of queued + running work on `engine`'s pool
   /// (accepts aliases).  This is the live queue_wait_us feed for routing.
   double backlog_us(const std::string& engine) const QUML_EXCLUDES(mutex_);
-  /// Jobs currently waiting in `engine`'s FIFO (accepts aliases).
+  /// Jobs currently waiting in `engine`'s queue, all lanes (accepts aliases).
   std::size_t queue_depth(const std::string& engine) const QUML_EXCLUDES(mutex_);
   /// Registry capabilities with queue_wait_us = live backlog per backend and
   /// `health` = the engine's circuit-breaker state, so "auto" routing steers
@@ -232,10 +281,15 @@ class ExecutionService {
   /// engines that have never run anything).
   CircuitBreaker::State breaker_state(const std::string& engine) const;
 
+  /// Releases workers parked by ServiceConfig::start_paused (idempotent).
+  void resume() QUML_EXCLUDES(mutex_);
+
   /// Blocks until every submitted job is terminal.
   void wait_all() QUML_EXCLUDES(mutex_);
-  /// Drains queues, joins workers, and rejects further submissions.
-  /// Idempotent; called by the destructor.
+  /// Rejects further submissions, waits for admitted hooks in progress,
+  /// drains the queues (a paused service is released to drain; cancel jobs
+  /// first to abandon them) and joins the workers.  Idempotent; called by
+  /// the destructor.
   void shutdown() QUML_EXCLUDES(mutex_);
 
   /// Process-wide default instance (workers spawn on first use); the
@@ -254,7 +308,12 @@ class ExecutionService {
   std::shared_ptr<detail::JobRecord> route(
       core::JobBundle bundle,
       const std::vector<std::vector<double>>* sweep_bindings = nullptr) QUML_EXCLUDES(mutex_);
-  void enqueue(const std::shared_ptr<detail::JobRecord>& rec) QUML_EXCLUDES(mutex_);
+  /// Numbers, registers and queues a routed record under `options`' bound
+  /// and admitted hook (its lane key and settled hook are on the record).
+  void enqueue(const std::shared_ptr<detail::JobRecord>& rec, const SubmitOptions& options = {})
+      QUML_EXCLUDES(mutex_);
+  /// Pushes onto the engine's queue; returns it for the caller to notify.
+  BackendQueue* push_locked(const std::shared_ptr<detail::JobRecord>& rec) QUML_REQUIRES(mutex_);
   /// Runs one routed job under its RetryPolicy (svc/resilience.hpp): retries
   /// transient failures with seeded backoff, enforces the deadline, feeds the
   /// engine's circuit breaker, and — when retries are exhausted on a
@@ -288,11 +347,15 @@ class ExecutionService {
   /// draining never waits on a retry schedule or a deliberate hang.
   std::atomic<bool> stop_flag_{false};
   mutable Mutex mutex_;  // queues_ map, records_, counters
-  CondVar idle_cv_;      // signalled when outstanding_ hits 0
+  CondVar idle_cv_;      // signalled when outstanding_ hits 0 or admitting_ empties
   std::map<std::string, std::unique_ptr<BackendQueue>> queues_ QUML_GUARDED_BY(mutex_);
   std::map<JobId, std::shared_ptr<detail::JobRecord>> records_ QUML_GUARDED_BY(mutex_);
   JobId next_id_ QUML_GUARDED_BY(mutex_) = 1;
   std::size_t outstanding_ QUML_GUARDED_BY(mutex_) = 0;
+  /// Jobs per tenant between their bound check and their push (the admitted
+  /// hook runs unlocked in between); they count against max_queued.
+  std::map<std::string, std::size_t> admitting_ QUML_GUARDED_BY(mutex_);
+  bool paused_ QUML_GUARDED_BY(mutex_) = false;
   bool stopping_ QUML_GUARDED_BY(mutex_) = false;
 };
 

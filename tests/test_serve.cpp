@@ -1,8 +1,8 @@
 // quml_serve suite: wire framing (round trips + malformed-frame fuzz),
-// persistent job store (replay, torn tail, compaction), weighted fair-share
-// queueing, daemon admission/backpressure/tenant isolation, crash recovery
-// with bit-identical replay, and the socket server end to end over a unix
-// socket in both framings.
+// persistent job store (replay, torn tail, compaction), daemon
+// admission/backpressure/tenant isolation, crash recovery with bit-identical
+// replay, and the socket server end to end over a unix socket in both
+// framings.  The fair-share lanes themselves are tested in test_svc.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -25,13 +26,13 @@
 #include "algolib/ising.hpp"
 #include "algolib/qaoa.hpp"
 #include "algolib/qft.hpp"
+#include "analysis/passes.hpp"
 #include "backend/register_backends.hpp"
 #include "core/registry.hpp"
 #include "json/json.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/frame.hpp"
-#include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "util/errors.hpp"
@@ -287,65 +288,6 @@ TEST(JobStore, CompactionDropsSettledAndKeepsTicketWatermark) {
   EXPECT_EQ(empty.next_ticket(), 7u);
 }
 
-// --- fair-share queue --------------------------------------------------------
-
-TEST(FairShareQueue, WeightedInterleavingIsExact) {
-  FairShareQueue queue;
-  queue.set_weight("a", 2.0);
-  queue.set_weight("b", 1.0);
-  // Tickets encode tenant + order: a -> 100+i, b -> 200+i.
-  for (std::uint64_t i = 0; i < 6; ++i) queue.push("a", 100 + i);
-  for (std::uint64_t i = 0; i < 6; ++i) queue.push("b", 200 + i);
-  EXPECT_EQ(queue.depth("a"), 6u);
-  EXPECT_EQ(queue.depth("b"), 6u);
-
-  std::string order;
-  std::map<std::string, int> popped;
-  for (int i = 0; i < 12; ++i) {
-    const auto ticket = queue.try_pop();
-    ASSERT_TRUE(ticket.has_value());
-    const bool is_a = *ticket < 200;
-    order += is_a ? 'a' : 'b';
-    ++popped[is_a ? "a" : "b"];
-  }
-  // Stride scheduling with weights 2:1 and deterministic tie-breaks.
-  EXPECT_EQ(order, "abaabaabab" "bb");
-  EXPECT_EQ(popped["a"], 6);
-  EXPECT_EQ(popped["b"], 6);
-  // Within a lane, FIFO order is preserved.
-  EXPECT_EQ(queue.try_pop(), std::nullopt);
-}
-
-TEST(FairShareQueue, IdleTenantEarnsNoBurstCredit) {
-  FairShareQueue queue;
-  queue.set_weight("busy", 1.0);
-  queue.set_weight("idle", 1.0);
-  for (std::uint64_t i = 0; i < 50; ++i) queue.push("busy", i);
-  for (int i = 0; i < 40; ++i) ASSERT_TRUE(queue.try_pop().has_value());
-  // "idle" arrives late; it must interleave from now on, not monopolize.
-  for (std::uint64_t i = 0; i < 5; ++i) queue.push("idle", 1000 + i);
-  int idle_run = 0;
-  const auto first = queue.try_pop();
-  ASSERT_TRUE(first.has_value());
-  for (int i = 0; i < 5; ++i) {
-    const auto t = queue.try_pop();
-    ASSERT_TRUE(t.has_value());
-    if (*t >= 1000) {
-      ++idle_run;
-    }
-  }
-  EXPECT_LE(idle_run, 3);  // ~alternating, never 5 in a row
-}
-
-TEST(FairShareQueue, CloseAbandonsQueuedTickets) {
-  FairShareQueue queue;
-  queue.push("a", 1);
-  queue.push("a", 2);
-  queue.close();
-  EXPECT_EQ(queue.pop(), std::nullopt);  // immediately, despite backlog
-  EXPECT_FALSE(queue.push("a", 3));
-}
-
 // --- raw-socket helpers ------------------------------------------------------
 
 int connect_raw(const std::string& path) {
@@ -389,7 +331,6 @@ std::optional<std::string> read_frame(int fd, FrameDecoder& decoder) {
 DaemonConfig daemon_config(const std::string& store_name) {
   DaemonConfig config;
   config.store_path = temp_path(store_name);
-  config.executors = 2;
   config.service.default_workers = 2;
   return config;
 }
@@ -424,7 +365,7 @@ TEST(JobDaemon, RejectsDefectiveBundlesWithQaCodes) {
 
 TEST(JobDaemon, ShedsPastTenantBoundAndPersistsNothingForShedJobs) {
   DaemonConfig config = daemon_config("daemon_shed.ndjson");
-  config.start_paused = true;  // nothing drains: the queue depth is exact
+  config.service.start_paused = true;  // nothing drains: the queue depth is exact
   config.default_policy.max_queued = 2;
   std::uint64_t shed_free = 0;
   {
@@ -471,7 +412,7 @@ TEST(JobDaemon, CrashRecoveryReplaysBitIdentically) {
   {
     // Boot paused, enqueue, and die without draining: the "crash".
     DaemonConfig paused = config;
-    paused.start_paused = true;
+    paused.service.start_paused = true;
     JobDaemon daemon(paused);
     for (int j = 0; j < kJobs; ++j) {
       const SubmitReply reply =
@@ -533,6 +474,61 @@ TEST(JobDaemon, SettledRetentionEvictsOldestRecords) {
   ASSERT_TRUE(daemon.info("alice", tickets[2]).known);
   ASSERT_TRUE(daemon.info("alice", tickets[3]).known);
   EXPECT_TRUE(daemon.info("alice", tickets[3]).result.has_value());
+}
+
+TEST(JobDaemon, AnalysesEachJobOnce) {
+  // A counting pass sees every admission analysis of the probe bundle; the
+  // daemon must not analyse on top of the service's own admission.
+  static std::atomic<int> analyses{0};
+  analysis::PassRegistry::instance().register_pass(
+      "test-count-analyses", [](const analysis::PassInput& in, analysis::Report&) {
+        if (in.bundle && in.bundle->job_id == "analyse-once-probe") ++analyses;
+      });
+  analyses = 0;
+  JobDaemon daemon(daemon_config("daemon_analyse_once.ndjson"));
+  core::JobBundle bundle = qft_job(3, 17);
+  bundle.job_id = "analyse-once-probe";
+  const SubmitReply reply = daemon.submit("alice", bundle);
+  ASSERT_EQ(reply.outcome, SubmitOutcome::Accepted) << reply.detail;
+  ASSERT_TRUE(daemon.wait_for("alice", reply.ticket, 30000ms));
+  EXPECT_EQ(daemon.info("alice", reply.ticket).status, "DONE");
+  EXPECT_EQ(analyses.load(), 1);
+}
+
+TEST(JobDaemon, SettledJobsLeaveNoServiceRecord) {
+  JobDaemon daemon(daemon_config("daemon_forget.ndjson"));
+  constexpr std::uint64_t kJobs = 3;
+  for (std::uint64_t seed = 80; seed < 80 + kJobs; ++seed) {
+    const SubmitReply reply = daemon.submit("alice", qft_job(3, seed));
+    ASSERT_EQ(reply.outcome, SubmitOutcome::Accepted) << reply.detail;
+    ASSERT_TRUE(daemon.wait_for("alice", reply.ticket, 30000ms));
+    ASSERT_EQ(daemon.info("alice", reply.ticket).status, "DONE");
+  }
+  // Service job ids start at 1: every daemon job was forgotten at settle, so
+  // a long-running daemon's service keeps no record per settled job.
+  for (svc::JobId id = 1; id <= kJobs; ++id)
+    EXPECT_FALSE(daemon.service().handle(id).valid()) << "service job " << id;
+}
+
+TEST(JobDaemon, UnroutableBundlesAreRejectedAtSubmit) {
+  const DaemonConfig config = daemon_config("daemon_unroutable.ndjson");
+  {
+    JobDaemon daemon(config);
+    // An engine nobody registered: the job could never run.
+    const SubmitReply unknown = daemon.submit(
+        "alice", make_load_bundle(3, 64, 1, "gate.no_such_engine", "unknown-engine"));
+    EXPECT_EQ(unknown.outcome, SubmitOutcome::Rejected);
+    EXPECT_NE(unknown.detail.find("gate.no_such_engine"), std::string::npos) << unknown.detail;
+    // A register wider than the engine's advertised capacity.
+    const SubmitReply wide = daemon.submit("alice", qft_job(60, 2));
+    EXPECT_EQ(wide.outcome, SubmitOutcome::Rejected);
+    EXPECT_NE(wide.detail.find("caps at"), std::string::npos) << wide.detail;
+    const JobDaemon::Stats stats = daemon.stats();
+    EXPECT_EQ(stats.rejected, 2u);
+    EXPECT_EQ(stats.accepted, 0u);
+  }
+  // Nothing reached the journal.
+  EXPECT_TRUE(JobStore(config.store_path).pending().empty());
 }
 
 // --- server + client over a unix socket --------------------------------------
@@ -675,7 +671,7 @@ TEST(ServeWire, HalfCloseClientStillReceivesItsReplies) {
 
 TEST(ServeWire, OversizedResultAnsweredWithoutKillingTheDaemon) {
   DaemonConfig daemon_cfg = daemon_config("serve_oversized.ndjson");
-  daemon_cfg.start_paused = true;  // the result request parks before any settle
+  daemon_cfg.service.start_paused = true;  // the result request parks before any settle
   JobDaemon daemon(daemon_cfg);
   ServerConfig server_config;
   server_config.unix_path = temp_path("serve_oversized.sock");
@@ -707,7 +703,7 @@ TEST(ServeWire, OversizedResultAnsweredWithoutKillingTheDaemon) {
                                encode_frame(json::dump(wait_req), Framing::Newline)));
   FrameDecoder decoder;
   ASSERT_TRUE(read_frame(fd, decoder).has_value());  // hello ack: waiter is parked
-  daemon.resume();
+  daemon.service().resume();
   const auto deferred = read_frame(fd, decoder);
   ASSERT_TRUE(deferred.has_value());
   const json::Value waited = json::parse(*deferred);

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -595,6 +596,144 @@ TEST_F(SvcTest, CapabilitySnapshotCarriesLiveQueueWait) {
     }
   EXPECT_TRUE(found);
   service.wait_all();
+}
+
+// --- fair-share tenant lanes ------------------------------------------------
+
+/// A paused single-worker service whose settled hooks log job ids in pop
+/// order (one worker: settle order is pop order).  Jobs queue while paused,
+/// so resume() releases a known backlog.
+class FairShareQueue : public ::testing::Test {
+ protected:
+  static constexpr const char* kEngine = "gate.statevector_simulator";
+
+  FairShareQueue() : service_(paused_config()) {}
+  void SetUp() override { backend::register_builtin_backends(); }
+
+  static svc::ServiceConfig paused_config() {
+    svc::ServiceConfig config;
+    config.default_workers = 1;
+    config.start_paused = true;
+    return config;
+  }
+
+  /// Queues a tiny job on `tenant`'s lane; `then` runs inside its settled
+  /// hook, on the worker, right after the pop is logged.
+  svc::JobId push(const std::string& tenant, double weight, std::function<void()> then = {}) {
+    svc::SubmitOptions options;
+    options.tenant = tenant;
+    options.weight = weight;
+    options.settled = [this, then](const svc::JobHandle& job) {
+      popped_.push_back(job.id());
+      if (then) then();
+    };
+    return service_.submit(qft_job(2, next_seed_++, kEngine, 8), std::move(options));
+  }
+
+  std::uint64_t next_seed_ = 1;
+  std::vector<svc::JobId> popped_;  // written by the one worker only
+  svc::ExecutionService service_;   // last: joined before popped_ dies
+};
+
+TEST_F(FairShareQueue, WeightedInterleavingIsExact) {
+  std::vector<svc::JobId> a_ids;
+  for (int i = 0; i < 6; ++i) a_ids.push_back(push("a", 2.0));
+  for (int i = 0; i < 6; ++i) push("b", 1.0);
+  EXPECT_EQ(service_.queue_depth(kEngine), 12u);
+  service_.resume();
+  service_.wait_all();
+
+  ASSERT_EQ(popped_.size(), 12u);
+  std::string order;
+  std::vector<svc::JobId> a_popped;
+  for (const svc::JobId id : popped_) {
+    const bool is_a = id <= a_ids.back();
+    order += is_a ? 'a' : 'b';
+    if (is_a) a_popped.push_back(id);
+  }
+  // Stride scheduling with weights 2:1 and deterministic tie-breaks.
+  EXPECT_EQ(order, "abaabaabab" "bb");
+  // Within a lane, FIFO order is preserved.
+  EXPECT_EQ(a_popped, a_ids);
+  EXPECT_EQ(service_.queue_depth(kEngine), 0u);
+}
+
+TEST_F(FairShareQueue, IdleTenantEarnsNoBurstCredit) {
+  // "idle" arrives once "busy" has had 40 pops; it must interleave from then
+  // on, not spend the virtual time it sat out as a monopolizing burst.
+  std::vector<svc::JobId> idle_ids;
+  for (int i = 0; i < 50; ++i) {
+    std::function<void()> then;
+    if (i == 39)
+      then = [&] {
+        for (int j = 0; j < 5; ++j) idle_ids.push_back(push("idle", 1.0));
+      };
+    push("busy", 1.0, then);
+  }
+  service_.resume();
+  service_.wait_all();
+
+  ASSERT_EQ(popped_.size(), 55u);
+  std::string after;
+  for (std::size_t k = 40; k < popped_.size(); ++k)
+    after += popped_[k] >= idle_ids.front() ? 'i' : 'b';
+  EXPECT_EQ(after, "bibibibibi" "bbbbb");
+}
+
+TEST_F(FairShareQueue, CloseAbandonsQueuedTickets) {
+  // The service's equivalent of abandoning queued work: cancelled while
+  // paused, the jobs never run, and shutdown drains the (released) queue
+  // without waiting on them.
+  std::vector<svc::JobStatus> seen;
+  for (std::uint64_t seed = 50; seed < 52; ++seed) {
+    svc::SubmitOptions options;
+    options.tenant = "a";
+    options.settled = [&seen](const svc::JobHandle& job) { seen.push_back(job.status()); };
+    const svc::JobId id = service_.submit(qft_job(2, seed, kEngine, 8), std::move(options));
+    EXPECT_TRUE(service_.handle(id).cancel());
+  }
+  service_.shutdown();
+  EXPECT_EQ(seen, std::vector<svc::JobStatus>(2, svc::JobStatus::Cancelled));
+  EXPECT_THROW(push("a", 1.0), BackendError);
+}
+
+TEST_F(FairShareQueue, EmptyTenantJobsPopInFifoOrder) {
+  // Every caller but the daemon uses the shared "" lane: plain FIFO.
+  std::vector<svc::JobId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(push("", 1.0));
+  service_.resume();
+  service_.wait_all();
+  EXPECT_EQ(popped_, ids);
+}
+
+TEST_F(FairShareQueue, TenantBoundAndRefusingHookQueueNothing) {
+  svc::SubmitOptions bounded;
+  bounded.tenant = "a";
+  bounded.max_queued = 2;
+  service_.submit(qft_job(2, 1, kEngine, 8), bounded);
+  service_.submit(qft_job(2, 2, kEngine, 8), bounded);
+  EXPECT_THROW(service_.submit(qft_job(2, 3, kEngine, 8), bounded), svc::QueueFullError);
+  bounded.tenant = "b";  // the bound is per tenant
+  service_.submit(qft_job(2, 4, kEngine, 8), bounded);
+  EXPECT_EQ(service_.queue_depth(kEngine), 3u);
+
+  // An admitted hook that throws: the exception leaves submit, nothing is
+  // queued, and the tenant's slot is released.
+  svc::SubmitOptions refused = bounded;
+  svc::JobId hooked = 0;
+  refused.admitted = [&hooked](const svc::JobHandle& job) {
+    hooked = job.id();
+    throw ValidationError("refused by the admitted hook");
+  };
+  EXPECT_THROW(service_.submit(qft_job(2, 5, kEngine, 8), refused), ValidationError);
+  EXPECT_NE(hooked, 0u);
+  EXPECT_FALSE(service_.handle(hooked).valid());
+  EXPECT_EQ(service_.queue_depth(kEngine), 3u);
+  EXPECT_NO_THROW(service_.submit(qft_job(2, 6, kEngine, 8), bounded));  // b: 2nd slot
+
+  service_.resume();
+  service_.wait_all();
+  EXPECT_EQ(service_.queue_depth(kEngine), 0u);
 }
 
 // --- batch ordering: JobId <-> result correspondence -------------------------

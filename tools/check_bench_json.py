@@ -16,10 +16,21 @@ Checks, per file:
     (name, iterations, real_time, cpu_time, time_unit), units are valid
     Google-Benchmark units, and one benchmark family (the name up to the
     first '/') never mixes units between its data points;
+  * wall-clock rates: a `*_per_sec` counter (a Google-Benchmark kIsRate
+    counter) is divided by the entry's time base, which is main-thread CPU
+    time unless the benchmark uses UseRealTime().  When the work runs on
+    other threads that CPU time is mostly waiting, and the rate is inflated
+    by real_time/cpu_time.  An entry whose name lacks `/real_time` while its
+    cpu_time is below half its real_time is flagged;
   * provenance: BENCH_<name>.json matches a bench/bench_<name>.cpp source,
     and every bench source has a committed baseline;
   * documentation: the file is referenced from README.md (the benchmark
     inventory table), so a baseline cannot exist undocumented.
+
+Usage: check_bench_json.py [FILE...]
+  With no FILE, lints every BENCH_*.json at the repo root with all checks.
+  With FILEs, lints just those files, without the provenance and README
+  cross-checks.
 
 Exit status: 0 clean, 1 with findings (one line each), 2 usage/environment.
 """
@@ -35,7 +46,7 @@ REQUIRED_BENCHMARK_KEYS = ("name", "iterations", "real_time", "cpu_time", "time_
 VALID_TIME_UNITS = ("ns", "us", "ms", "s")
 
 
-def lint_file(path: Path, readme_text: str) -> list[str]:
+def lint_file(path: Path, readme_text: str | None) -> list[str]:
     problems: list[str] = []
     try:
         doc = json.loads(path.read_text())
@@ -83,13 +94,14 @@ def lint_file(path: Path, readme_text: str) -> list[str]:
                 )
             family = str(entry.get("name", "")).split("/", 1)[0]
             family_units.setdefault(family, set()).add(unit)
+        problems.extend(lint_rate(path.name, i, entry))
     for family, units in sorted(family_units.items()):
         if len(units) > 1:
             problems.append(
                 f"{path.name}: family '{family}' mixes time units {sorted(units)}"
             )
 
-    if path.name not in readme_text:
+    if readme_text is not None and path.name not in readme_text:
         problems.append(
             f"{path.name}: not referenced from README.md (add it to the benchmark "
             "inventory table)"
@@ -97,7 +109,35 @@ def lint_file(path: Path, readme_text: str) -> list[str]:
     return problems
 
 
+def lint_rate(file_name: str, index: int, entry: dict) -> list[str]:
+    """Flags a rate counter timed by main-thread CPU while the work ran elsewhere."""
+    name = str(entry.get("name", ""))
+    rates = sorted(key for key in entry if key.endswith("_per_sec"))
+    real, cpu = entry.get("real_time"), entry.get("cpu_time")
+    # stddev/cv aggregates compare spreads, not times.
+    if not rates or "/real_time" in name or entry.get("aggregate_name") in ("stddev", "cv"):
+        return []
+    if not isinstance(real, (int, float)) or not isinstance(cpu, (int, float)):
+        return []
+    if cpu >= 0.5 * real:
+        return []
+    return [
+        f"{file_name}: benchmarks[{index}] ({name}) reports {', '.join(rates)} over "
+        f"cpu_time {cpu:g} but real_time is {real:g}: the rate is inflated "
+        f"{real / cpu:.1f}x; time it with ->UseRealTime()"
+    ]
+
+
 def main() -> int:
+    if len(sys.argv) > 1:
+        problems = [p for arg in sys.argv[1:] for p in lint_file(Path(arg), None)]
+        for line in problems:
+            print(f"FAIL {line}")
+        if problems:
+            return 1
+        print(f"OK {len(sys.argv) - 1} file(s)")
+        return 0
+
     root = Path(__file__).resolve().parent.parent
     readme = root / "README.md"
     if not readme.is_file():

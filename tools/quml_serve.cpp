@@ -1,8 +1,7 @@
 // quml_serve — the multi-tenant job daemon (and its load-generator client).
 //
 // Daemon mode:
-//   quml_serve --store jobs.ndjson --unix /tmp/quml.sock [--tcp PORT]
-//              [--executors N] [--workers N]
+//   quml_serve --store jobs.ndjson --unix /tmp/quml.sock [--tcp PORT] [--workers N]
 //              [--tenant NAME:WEIGHT:MAXQ]... [--default-weight W] [--default-max N]
 //
 // Accepts JSON job bundles over newline-delimited or length-prefixed frames
@@ -41,8 +40,8 @@ void handle_signal(int) { g_stop = 1; }
 void usage() {
   std::fprintf(
       stderr,
-      "usage: quml_serve --store FILE (--unix PATH | --tcp PORT) [--executors N]\n"
-      "                  [--workers N] [--tenant NAME:WEIGHT:MAXQ]...\n"
+      "usage: quml_serve --store FILE (--unix PATH | --tcp PORT) [--workers N]\n"
+      "                  [--tenant NAME:WEIGHT:MAXQ]...\n"
       "                  [--default-weight W] [--default-max N]\n"
       "       quml_serve --load (--unix PATH | --host IP --port N) [--connections N]\n"
       "                  [--jobs N] [--width W] [--samples N] [--seed S]\n"
@@ -186,8 +185,6 @@ int main(int argc, char** argv) {
       port = std::atoi(need_value(i));
     } else if (std::strcmp(arg, "--host") == 0) {
       host = need_value(i);
-    } else if (std::strcmp(arg, "--executors") == 0) {
-      daemon_config.executors = std::atoi(need_value(i));
     } else if (std::strcmp(arg, "--workers") == 0) {
       daemon_config.service.default_workers = std::atoi(need_value(i));
     } else if (std::strcmp(arg, "--default-weight") == 0) {
