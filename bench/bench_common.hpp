@@ -8,16 +8,49 @@
 // context field: that reflects how *libbenchmark* was compiled (Debian ships
 // it without NDEBUG, so it always says "debug"), not how quml was compiled.
 // The authoritative stamp for the measured library is "quml_build_type";
-// bench/run_benchmarks.sh validates it and normalizes the context.
+// bench/run_benchmarks.sh validates it and normalizes the context.  Beside it
+// sit "quml_native" (the QUML_NATIVE option: -march=native or not) and
+// "quml_codegen_isa" (the vector extensions the compiler targeted), so a
+// recorded number names the code generation it measured.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "util/build_info.hpp"
 
 namespace quml::bench {
+
+/// QUML_NATIVE as configured ("ON" / "OFF").
+constexpr const char* native_option() noexcept {
+#ifdef QUML_BENCH_NATIVE
+  return "ON";
+#else
+  return "OFF";
+#endif
+}
+
+/// The code-generation ISA extensions this binary was compiled for, e.g.
+/// "avx512f,avx2,fma"; "baseline" when none of them.
+inline std::string codegen_isa() {
+  std::string isa;
+  const auto add = [&isa](const char* name) {
+    if (!isa.empty()) isa += ',';
+    isa += name;
+  };
+#ifdef __AVX512F__
+  add("avx512f");
+#endif
+#ifdef __AVX2__
+  add("avx2");
+#endif
+#ifdef __FMA__
+  add("fma");
+#endif
+  return isa.empty() ? "baseline" : isa;
+}
 
 /// Registers build-type context, refuses to measure a debug library (unless
 /// QUML_BENCH_ALLOW_DEBUG=1 for local profiling), runs the binary's report
@@ -34,6 +67,8 @@ inline int run(int argc, char** argv, void (*prelude)() = nullptr) {
   }
   if (prelude != nullptr) prelude();
   benchmark::AddCustomContext("quml_build_type", build_type());
+  benchmark::AddCustomContext("quml_native", native_option());
+  benchmark::AddCustomContext("quml_codegen_isa", codegen_isa());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

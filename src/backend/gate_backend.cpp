@@ -6,7 +6,6 @@
 #include "qec/surface.hpp"
 #include "sim/engine.hpp"
 #include "sim/mps.hpp"
-#include "sim/noise.hpp"
 #include "sim/qasm.hpp"
 #include "transpile/transpiler.hpp"
 #include "util/errors.hpp"
@@ -104,28 +103,24 @@ core::ExecutionResult GateBackend::run(const core::JobBundle& bundle) {
     services.set("pulse", pulse_meta);
   }
 
-  // 4. Execute and decode.  A `noise` context block switches to trajectory
-  // sampling with the requested Pauli channels; semantics are unchanged.
+  // 4. Execute and decode.  A `noise` context block adds its Pauli channels
+  // to the engine's trajectories on either representation; semantics are
+  // unchanged.
   if (exec.max_parallel_threads) set_num_threads(*exec.max_parallel_threads);
   const sim::StateConfig state_config = state_config_for(representation_, exec);
-  sim::CountMap raw;
+  sim::NoiseModel noise;
   if (ctx.noise && ctx.noise->enabled) {
-    if (representation_ == sim::StateRep::Mps)
-      throw BackendError("noise trajectories run on the dense engine only; drop the noise "
-                         "context block or use 'gate.statevector_simulator'");
-    sim::NoiseModel model;
-    model.depolarizing_1q = ctx.noise->depolarizing_1q;
-    model.depolarizing_2q = ctx.noise->depolarizing_2q;
-    model.readout_flip = ctx.noise->readout_flip;
-    raw = sim::NoisyEngine().run_counts(transpiled.circuit, exec.samples, exec.seed, model);
+    noise.depolarizing_1q = ctx.noise->depolarizing_1q;
+    noise.depolarizing_2q = ctx.noise->depolarizing_2q;
+    noise.readout_flip = ctx.noise->readout_flip;
     json::Value noise_meta = json::Value::object();
-    noise_meta.set("depolarizing_1q", json::Value(model.depolarizing_1q));
-    noise_meta.set("depolarizing_2q", json::Value(model.depolarizing_2q));
-    noise_meta.set("readout_flip", json::Value(model.readout_flip));
+    noise_meta.set("depolarizing_1q", json::Value(noise.depolarizing_1q));
+    noise_meta.set("depolarizing_2q", json::Value(noise.depolarizing_2q));
+    noise_meta.set("readout_flip", json::Value(noise.readout_flip));
     services.set("noise", noise_meta);
-  } else {
-    raw = sim::Engine(state_config).run_counts(transpiled.circuit, exec.samples, exec.seed);
   }
+  const sim::CountMap raw =
+      sim::Engine(state_config).run_counts(transpiled.circuit, exec.samples, exec.seed, noise);
 
   core::ExecutionResult result;
   for (const auto& [bits, n] : raw) result.counts.add(bits, n);

@@ -32,33 +32,85 @@ std::string render_clbits(std::uint64_t clbit_word, int num_clbits) {
   return to_bitstring(clbit_word, static_cast<unsigned>(num_clbits));
 }
 
-/// A fused unitary segment followed by one non-unitary boundary instruction
-/// (Measure or Reset); the final segment of a program has no boundary.
+/// True when `noise` attaches a channel with probability > 0 to unitary gate
+/// `inst`: the 1q channel to a 1-qubit gate, the 2q channel to a 2-qubit
+/// gate, and either to a wider one (see apply_gate_channel).
+bool has_channel(const Instruction& inst, const NoiseModel& noise) {
+  if (inst.gate == Gate::Barrier) return false;
+  switch (inst.qubits.size()) {
+    case 1: return noise.depolarizing_1q > 0.0;
+    case 2: return noise.depolarizing_2q > 0.0;
+    default: return noise.depolarizing_1q > 0.0 || noise.depolarizing_2q > 0.0;
+  }
+}
+
+/// Applies Pauli k (1 = X, 2 = Y, 3 = Z) to qubit q.
+void apply_pauli(SimState& state, int q, std::uint64_t k) {
+  static const Gate kPauli[] = {Gate::I, Gate::X, Gate::Y, Gate::Z};
+  if (k == 0) return;
+  state.apply(Instruction{kPauli[k], {q}, {}, {}, {}});
+}
+
+/// Depolarizing channel on one qubit: with probability p insert a uniformly
+/// random non-identity Pauli.
+void depolarize_1q(SimState& state, int q, double p, Rng& rng) {
+  if (p > 0.0 && rng.next_double() < p) apply_pauli(state, q, 1 + rng.next_below(3));
+}
+
+/// Two-qubit depolarizing channel: with probability p insert one of the 15
+/// non-identity two-qubit Paulis uniformly.
+void depolarize_2q(SimState& state, int a, int b, double p, Rng& rng) {
+  if (p <= 0.0 || rng.next_double() >= p) return;
+  const std::uint64_t pauli = 1 + rng.next_below(15);  // 1..15, skips II
+  apply_pauli(state, a, pauli & 3);
+  apply_pauli(state, b, (pauli >> 2) & 3);
+}
+
+/// The channel after unitary gate `inst`.  A 3-qubit gate gets the 2q
+/// channel on its first two operands and the 1q channel on the third
+/// (transpile first for realistic targets; this keeps untranspiled circuits
+/// runnable).
+void apply_gate_channel(SimState& state, const Instruction& inst, const NoiseModel& noise,
+                        Rng& rng) {
+  const std::vector<int>& q = inst.qubits;
+  if (q.size() == 1) {
+    depolarize_1q(state, q[0], noise.depolarizing_1q, rng);
+    return;
+  }
+  depolarize_2q(state, q[0], q[1], noise.depolarizing_2q, rng);
+  if (q.size() > 2) depolarize_1q(state, q[2], noise.depolarizing_1q, rng);
+}
+
+/// A fused unitary segment followed by one boundary instruction: a Measure, a
+/// Reset, or a gate with a noise channel.  The boundary points into the
+/// circuit, which outlives the segment list.
 struct Segment {
   std::vector<FusedOp> ops;
-  Instruction boundary{};
-  bool has_boundary = false;
+  const Instruction* boundary = nullptr;
 };
 
-/// Splits a circuit into fused unitary segments at Measure/Reset boundaries.
-/// Fusion runs once, outside the shot loop, so every trajectory replays the
-/// compact program.  A trailing unitary-only segment cannot influence any
-/// recorded clbit and is dropped.
-std::vector<Segment> fuse_segments(const Circuit& circuit, const FusionOptions& options) {
+/// Splits a circuit into fused unitary segments at its boundaries.  Fusion
+/// runs once, outside the shot loop, so every trajectory replays the compact
+/// program.  Segments after the last Measure cannot influence any recorded
+/// clbit and are dropped, so an empty result means the circuit measures
+/// nothing.
+std::vector<Segment> fuse_segments(const Circuit& circuit, const FusionOptions& options,
+                                   const NoiseModel& noise) {
   std::vector<Segment> segments;
   std::vector<Instruction> pending;
   for (const auto& inst : circuit.instructions()) {
-    if (inst.gate == Gate::Measure || inst.gate == Gate::Reset) {
+    if (inst.gate == Gate::Measure || inst.gate == Gate::Reset || has_channel(inst, noise)) {
       Segment seg;
-      seg.ops = fuse_unitaries(pending, circuit.num_qubits(), options);
-      seg.boundary = inst;
-      seg.has_boundary = true;
+      if (!pending.empty()) seg.ops = fuse_unitaries(pending, circuit.num_qubits(), options);
+      seg.boundary = &inst;
       segments.push_back(std::move(seg));
       pending.clear();
     } else {
       pending.push_back(inst);  // Barrier included: it fences fusion
     }
   }
+  while (!segments.empty() && segments.back().boundary->gate != Gate::Measure)
+    segments.pop_back();
   return segments;
 }
 
@@ -121,7 +173,8 @@ Statevector Engine::run_statevector(const Circuit& circuit) const {
   return std::move(static_cast<Statevector&>(*state));
 }
 
-CountMap Engine::run_counts(const Circuit& circuit, std::int64_t shots, std::uint64_t seed) const {
+CountMap Engine::run_counts(const Circuit& circuit, std::int64_t shots, std::uint64_t seed,
+                            const NoiseModel& noise) const {
   if (circuit.is_parameterized())
     throw ValidationError("circuit has unbound parameters; bind() it or use sim::SweepPlan");
   if (shots <= 0) throw ValidationError("shots must be positive");
@@ -129,12 +182,13 @@ CountMap Engine::run_counts(const Circuit& circuit, std::int64_t shots, std::uin
     throw ValidationError("circuit has no classical bits to sample into");
   if (circuit.num_clbits() > 63)
     throw ValidationError("at most 63 clbits supported");
+  noise.validate();
 
   CountMap counts;
   Rng rng(seed);
   const FusionOptions fusion = fusion_options();
 
-  if (has_only_trailing_measurement(circuit)) {
+  if (!noise.enabled() && has_only_trailing_measurement(circuit)) {
     // Fast path: evolve the fused unitary prefix once, then batch-sample all
     // shots via the representation's native sampler.  sample_basis is allowed
     // to consume the state (the statevector releases its amplitudes once its
@@ -156,16 +210,12 @@ CountMap Engine::run_counts(const Circuit& circuit, std::int64_t shots, std::uin
     return counts_from_basis_histogram(histogram, measurements, circuit.num_clbits());
   }
 
-  // Mid-circuit path: per-shot trajectory simulation with collapse.  The
-  // unitary prefix before the first measurement is evolved once and cloned
-  // into each trajectory (measurements commute with nothing that precedes
-  // them, so the prefix state is shot-invariant); the remaining segments are
-  // fused once and replayed per shot.
-  const std::vector<Segment> segments = fuse_segments(circuit, fusion);
-  bool has_measure = false;
-  for (const auto& seg : segments)
-    if (seg.has_boundary && seg.boundary.gate == Gate::Measure) has_measure = true;
-  if (!has_measure) throw ValidationError("circuit contains no measurements");
+  // Trajectory path: per-shot simulation with collapse and noise channels.
+  // The segment before the first boundary is evolved once and cloned into
+  // each trajectory (it is unitary and shot-invariant); the remaining
+  // segments are fused once and replayed per shot.
+  const std::vector<Segment> segments = fuse_segments(circuit, fusion, noise);
+  if (segments.empty()) throw ValidationError("circuit contains no measurements");
 
   const std::unique_ptr<SimState> prefix = make_sim_state(circuit.num_qubits(), config_);
   apply_fused(*prefix, segments.front().ops);
@@ -177,12 +227,17 @@ CountMap Engine::run_counts(const Circuit& circuit, std::int64_t shots, std::uin
     for (std::size_t s = 0; s < segments.size(); ++s) {
       const Segment& seg = segments[s];
       if (s > 0) apply_fused(*state, seg.ops);
-      if (!seg.has_boundary) continue;
-      if (seg.boundary.gate == Gate::Measure) {
-        const int bit = state->measure_collapse(seg.boundary.qubits[0], shot_rng);
-        clbits = with_bit(clbits, static_cast<unsigned>(seg.boundary.clbits[0]), bit);
+      const Instruction& inst = *seg.boundary;
+      if (inst.gate == Gate::Measure) {
+        int bit = state->measure_collapse(inst.qubits[0], shot_rng);
+        if (noise.readout_flip > 0.0 && shot_rng.next_double() < noise.readout_flip) bit ^= 1;
+        clbits = with_bit(clbits, static_cast<unsigned>(inst.clbits[0]), bit);
+      } else if (inst.gate == Gate::Reset) {
+        state->reset_qubit(inst.qubits[0], shot_rng);
+        depolarize_1q(*state, inst.qubits[0], noise.depolarizing_1q, shot_rng);
       } else {
-        state->reset_qubit(seg.boundary.qubits[0], shot_rng);
+        state->apply(inst);
+        apply_gate_channel(*state, inst, noise, shot_rng);
       }
     }
     ++counts[render_clbits(clbits, circuit.num_clbits())];

@@ -11,12 +11,16 @@
 //    unitary prefix once and batch-sample all shots from the final
 //    distribution via the representation's native sampler (alias table for
 //    the statevector, left-to-right conditional contraction for MPS);
-//  * circuits with mid-circuit measurement/reset run per-shot trajectories
-//    with projective collapse — the unitary prefix before the first
-//    measurement is evolved once and cloned into each trajectory, and the
-//    segments between measurements are fused once and replayed (correct,
-//    slower — the middle layer only permits mid-circuit measurement behind
-//    an explicit context opt-in anyway).
+//  * circuits with mid-circuit measurement/reset (correct, slower — the
+//    middle layer only permits them behind an explicit context opt-in
+//    anyway), and every run under an enabled NoiseModel (sim/noise), run
+//    per-shot trajectories with projective collapse.  The circuit is cut into
+//    fused unitary segments, each closed by a boundary instruction: a
+//    Measure, a Reset, or a gate whose noise channel has probability > 0.
+//    The segment before the first boundary is evolved once and cloned into
+//    each trajectory; the rest are fused once and replayed.  A channel gate
+//    is applied unfused (its native kernel) and then its channel fires, so
+//    noise works on every representation.
 //
 // Fusion caps are representation-specific: the statevector takes the
 // environment-tunable defaults, while MPS fuses narrow (dense cap 2,
@@ -31,6 +35,7 @@
 
 #include "sim/circuit.hpp"
 #include "sim/fusion.hpp"
+#include "sim/noise.hpp"
 #include "sim/sim_state.hpp"
 #include "sim/statevector.hpp"
 #include "util/alias_table.hpp"
@@ -75,8 +80,14 @@ class Engine {
   /// Fusion caps used for this engine's representation.
   FusionOptions fusion_options() const;
 
-  /// Executes `shots` shots; all randomness derives from `seed`.
-  CountMap run_counts(const Circuit& circuit, std::int64_t shots, std::uint64_t seed) const;
+  /// Executes `shots` shots; all randomness derives from `seed`.  Shot t of
+  /// the trajectory path draws from the stream rng(seed).split(t), in program
+  /// order: per Measure its collapse draw and then, when readout_flip > 0, the
+  /// flip draw; per Reset its collapse draw and then the 1q channel; per
+  /// channel gate its channel.  A default (disabled) `noise` leaves the counts
+  /// bit-identical to a noiseless call.
+  CountMap run_counts(const Circuit& circuit, std::int64_t shots, std::uint64_t seed,
+                      const NoiseModel& noise = {}) const;
 
   /// Runs the unitary part only and returns the final state in whatever
   /// representation the engine is configured for (throws ValidationError if

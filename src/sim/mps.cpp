@@ -50,14 +50,18 @@ Svd jacobi_svd_tall(const c64* a, int m, int n) {
           apq += std::conj(gp[i]) * gq[i];
         }
         if (std::norm(apq) <= kTol2 * app * aqq) continue;
+        // The smaller column is numerically zero: rotating it only drives the
+        // pair into denormals, where W stops being unitary.
+        if (std::min(app, aqq) <= 1e-30 * std::max(app, aqq)) continue;
         rotated = true;
         // Unitary W whose columns are the eigenvectors of the 2x2 Hermitian
         // Gram block [[app, apq], [conj(apq), aqq]]; G[:, {p,q}] <- G W makes
         // the pair orthogonal with the larger new norm landing on column p.
-        const double mid = 0.5 * (app + aqq);
+        // beta = lambda_max - app = root - dif, written without cancellation
+        // when dif > 0 (root - dif = |apq|^2 / (root + dif)).
         const double dif = 0.5 * (app - aqq);
-        const double lam = mid + std::sqrt(dif * dif + std::norm(apq));
-        const double beta = lam - app;  // >= 0 for the larger eigenvalue
+        const double root = std::sqrt(dif * dif + std::norm(apq));
+        const double beta = dif > 0.0 ? std::norm(apq) / (root + dif) : root - dif;
         const double nrm = std::sqrt(std::norm(apq) + beta * beta);
         const c64 w00 = apq / nrm;     // W(0,0); W(1,1) = conj(w00)
         const double w10 = beta / nrm; // W(1,0), real; W(0,1) = -w10

@@ -1,6 +1,5 @@
 #include "sim/noise.hpp"
 
-#include "util/bits.hpp"
 #include "util/errors.hpp"
 
 namespace quml::sim {
@@ -8,83 +7,6 @@ namespace quml::sim {
 void NoiseModel::validate() const {
   for (const double p : {depolarizing_1q, depolarizing_2q, readout_flip})
     if (p < 0.0 || p > 1.0) throw ValidationError("noise probability outside [0, 1]");
-}
-
-namespace {
-
-/// Applies Pauli k (1 = X, 2 = Y, 3 = Z) to qubit q.
-void apply_pauli(Statevector& state, int q, std::uint64_t k) {
-  static const Gate kPauli[] = {Gate::I, Gate::X, Gate::Y, Gate::Z};
-  if (k == 0) return;
-  const Instruction inst{kPauli[k], {q}, {}, {}, {}};
-  state.apply(inst);
-}
-
-/// Depolarizing channel on one qubit: with probability p insert a uniformly
-/// random non-identity Pauli.
-void depolarize_1q(Statevector& state, int q, double p, Rng& rng) {
-  if (p > 0.0 && rng.next_double() < p) apply_pauli(state, q, 1 + rng.next_below(3));
-}
-
-/// Two-qubit depolarizing channel: with probability p insert one of the 15
-/// non-identity two-qubit Paulis uniformly.
-void depolarize_2q(Statevector& state, int a, int b, double p, Rng& rng) {
-  if (p <= 0.0 || rng.next_double() >= p) return;
-  const std::uint64_t pauli = 1 + rng.next_below(15);  // 1..15, skips II
-  apply_pauli(state, a, pauli & 3);
-  apply_pauli(state, b, (pauli >> 2) & 3);
-}
-
-}  // namespace
-
-CountMap NoisyEngine::run_counts(const Circuit& circuit, std::int64_t shots, std::uint64_t seed,
-                                 const NoiseModel& model) const {
-  model.validate();
-  if (shots <= 0) throw ValidationError("shots must be positive");
-  if (circuit.num_clbits() <= 0 || circuit.num_clbits() > 63)
-    throw ValidationError("noisy engine needs 1..63 clbits");
-
-  CountMap counts;
-  const Rng base(seed);
-  for (std::int64_t shot = 0; shot < shots; ++shot) {
-    Rng rng = base.split(static_cast<std::uint64_t>(shot));
-    Statevector state(circuit.num_qubits());
-    std::uint64_t clbits = 0;
-    bool measured = false;
-    for (const auto& inst : circuit.instructions()) {
-      switch (inst.gate) {
-        case Gate::Barrier:
-          break;
-        case Gate::Measure: {
-          int bit = state.measure_collapse(inst.qubits[0], rng);
-          if (model.readout_flip > 0.0 && rng.next_double() < model.readout_flip) bit ^= 1;
-          clbits = with_bit(clbits, static_cast<unsigned>(inst.clbits[0]), bit);
-          measured = true;
-          break;
-        }
-        case Gate::Reset:
-          state.reset_qubit(inst.qubits[0], rng);
-          depolarize_1q(state, inst.qubits[0], model.depolarizing_1q, rng);
-          break;
-        default: {
-          state.apply(inst);
-          if (inst.qubits.size() == 1) {
-            depolarize_1q(state, inst.qubits[0], model.depolarizing_1q, rng);
-          } else if (inst.qubits.size() == 2) {
-            depolarize_2q(state, inst.qubits[0], inst.qubits[1], model.depolarizing_2q, rng);
-          } else {
-            // 3q gates: apply the 2q channel pairwise (transpile first for
-            // realistic targets; this keeps untranspiled circuits runnable).
-            depolarize_2q(state, inst.qubits[0], inst.qubits[1], model.depolarizing_2q, rng);
-            depolarize_1q(state, inst.qubits[2], model.depolarizing_1q, rng);
-          }
-        }
-      }
-    }
-    if (!measured) throw ValidationError("circuit contains no measurements");
-    ++counts[to_bitstring(clbits, static_cast<unsigned>(circuit.num_clbits()))];
-  }
-  return counts;
 }
 
 }  // namespace quml::sim

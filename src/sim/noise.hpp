@@ -2,25 +2,23 @@
 // Stochastic Pauli noise for the gate substrate.
 //
 // The middle layer's context can demand noisy execution (a `noise` block,
-// orthogonal to program semantics like every other context block); this
-// engine realizes it with trajectory sampling, which is *exact* for Pauli
-// channels: each shot evolves a pure state, inserting a uniformly random
-// non-identity Pauli after each gate with the channel probability, and
-// flipping readout bits with the readout error probability.
+// orthogonal to program semantics like every other context block).
+// Engine::run_counts realizes it on any representation with trajectory
+// sampling, which is *exact* for Pauli channels: each shot evolves a pure
+// state, inserting a uniformly random non-identity Pauli after each gate with
+// the channel probability, and flipping readout bits with the readout error
+// probability.
 //
 // This is the physics that motivates the paper's QEC context (Listing 5):
 // bench_noise_ablation shows QAOA solution quality decaying with the
 // physical error rate — the decay QEC distance buys back.
 
-#include <cstdint>
-
-#include "sim/engine.hpp"
-
 namespace quml::sim {
 
-/// Channel strengths; all probabilities in [0, 1].
+/// Channel strengths; all probabilities in [0, 1].  The default model is
+/// noiseless.
 struct NoiseModel {
-  double depolarizing_1q = 0.0;  ///< after every 1-qubit gate
+  double depolarizing_1q = 0.0;  ///< after every 1-qubit gate and reset
   double depolarizing_2q = 0.0;  ///< after every 2-qubit gate (two-qubit channel)
   double readout_flip = 0.0;     ///< per measured bit
 
@@ -30,14 +28,10 @@ struct NoiseModel {
   void validate() const;
 };
 
-/// Trajectory-sampling engine.  Shot t draws from an RNG stream split on
-/// (seed, t), so results are deterministic and thread-independent.  With a
-/// disabled model the output equals Engine::run_counts bit for bit only in
-/// distribution (the sampling path differs); use Engine for noiseless runs.
-class NoisyEngine {
- public:
-  CountMap run_counts(const Circuit& circuit, std::int64_t shots, std::uint64_t seed,
-                      const NoiseModel& model) const;
-};
+class Engine;
+/// Former name of the noisy trajectory engine, whose loop Engine::run_counts
+/// absorbed.  Only the benchmark's staged replay (perfbench/src/replay.cpp)
+/// still names it; new code names Engine (declared in sim/engine.hpp).
+using NoisyEngine = Engine;
 
 }  // namespace quml::sim

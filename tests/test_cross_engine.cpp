@@ -6,9 +6,12 @@
 // low-entanglement circuit routes to "gate.mps_simulator" under
 // engine="auto" and produces correct counts, a deep narrow circuit routes to
 // the dense simulator, and over-width jobs are rejected *early* with an
-// error naming the MPS alternative.  (The no-direct-Statevector source guard
-// that used to live here is now tools/check_source_guards.py, run as the
-// "static"-labelled ctest — see tests/CMakeLists.txt.)
+// error naming the MPS alternative; a noisy job that wide runs on MPS too.
+// Noisy trajectories agree key for key between the dense engine and exact
+// MPS, and a disabled noise model changes no count.  (The
+// no-direct-Statevector source guard that used to live here is now
+// tools/check_source_guards.py, run as the "static"-labelled ctest — see
+// tests/CMakeLists.txt.)
 //
 // The whole binary additionally runs under the "perf-smoke" ctest label (see
 // tests/CMakeLists.txt): the wide-GHZ and 20-qubit-QFT scenarios double as
@@ -34,6 +37,7 @@
 #include "core/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/mps.hpp"
+#include "sim/noise.hpp"
 #include "sim/statevector.hpp"
 #include "svc/execution_service.hpp"
 #include "util/errors.hpp"
@@ -318,19 +322,88 @@ TEST(CrossEngine, BackendRejectsOverWidthJobBeforeAllocating) {
   EXPECT_EQ(result.counts.map().size(), 2u);
 }
 
-TEST(CrossEngine, NoiseTrajectoriesStayOnDenseEngine) {
+// --- noise on every representation -----------------------------------------
+
+/// A random prefix, a mid-circuit measure-all, more gates and a reset, then a
+/// final measure-all into the second half of the clbits.
+Circuit mid_circuit_program(std::uint64_t seed, int n) {
+  Circuit c(n, 2 * n);
+  std::vector<int> wires(static_cast<std::size_t>(n));
+  for (int q = 0; q < n; ++q) wires[static_cast<std::size_t>(q)] = q;
+  c.append(random_circuit(seed, n, 24), wires, 0);
+  for (int q = 0; q < n; ++q) c.measure(q, q);
+  c.append(random_circuit(seed + 1000, n, 12), wires, 0);
+  c.reset(0);
+  c.h(0);
+  for (int q = 0; q < n; ++q) c.measure(q, n + q);
+  return c;
+}
+
+/// The trailing-measurement twin of mid_circuit_program.
+Circuit trailing_program(std::uint64_t seed, int n) {
+  Circuit c = random_circuit(seed, n, 36, n);
+  c.measure_all();
+  return c;
+}
+
+sim::NoiseModel all_channels() {
+  sim::NoiseModel noise;
+  noise.depolarizing_1q = 0.02;
+  noise.depolarizing_2q = 0.05;
+  noise.readout_flip = 0.03;
+  return noise;
+}
+
+TEST(CrossEngine, DisabledNoiseModelLeavesCountsBitIdentical) {
+  for (const sim::StateConfig& config : {sim::StateConfig{}, exact_mps_config()}) {
+    const sim::Engine engine(config);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      for (const Circuit& c : {trailing_program(seed, 5), mid_circuit_program(seed, 5)}) {
+        EXPECT_EQ(engine.run_counts(c, 300, seed, sim::NoiseModel{}),
+                  engine.run_counts(c, 300, seed))
+            << sim::to_string(config.representation) << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(CrossEngine, NoisyCountsMatchBetweenDenseAndExactMps) {
+  // Same stream, same channel draws: with both representations exact, every
+  // collapse lands on the same side and the counts agree key for key.
+  const sim::Engine dense;
+  const sim::Engine mps(exact_mps_config());
+  const sim::NoiseModel noise = all_channels();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Circuit ghz(8, 8);
+    ghz.h(0);
+    for (int q = 0; q + 1 < 8; ++q) ghz.cx(q, q + 1);
+    ghz.measure_all();
+    for (const Circuit& c : {ghz, trailing_program(seed, 6), mid_circuit_program(seed, 6)}) {
+      EXPECT_EQ(dense.run_counts(c, 200, seed, noise), mps.run_counts(c, 200, seed, noise))
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(CrossEngine, NoisyWideGhzRoutesToMpsUnderAuto) {
+  // A noisy job past the dense wall: the scheduler picks MPS, and the noise
+  // context runs there instead of being refused.
   backend::register_builtin_backends();
-  core::JobBundle bundle = ghz_job(6, 1, "gate.mps_simulator");
+  svc::ExecutionService service;
+  core::JobBundle bundle = ghz_job(40, 1, "auto", 64);
   bundle.context->noise = core::NoisePolicy{};
   bundle.context->noise->enabled = true;
   bundle.context->noise->depolarizing_1q = 0.01;
-  try {
-    core::submit(bundle);
-    FAIL() << "noise trajectories are dense-only";
-  } catch (const BackendError& e) {
-    EXPECT_NE(std::string(e.what()).find("gate.statevector_simulator"), std::string::npos)
-        << e.what();
-  }
+  const svc::JobId id = service.submit(bundle);
+  EXPECT_EQ(service.handle(id).engine(), "gate.mps_simulator");
+  const core::ExecutionResult result = service.handle(id).result();
+  EXPECT_EQ(result.counts.total(), 64);
+  // A Pauli after the H leaves the GHZ outcomes all-equal.
+  for (const auto& [key, n] : result.counts.map())
+    EXPECT_TRUE(key == std::string(40, '0') || key == std::string(40, '1')) << key;
+  EXPECT_EQ(result.metadata.get_string("representation", ""), "mps");
+  EXPECT_DOUBLE_EQ(
+      result.metadata.at("services").at("noise").get_double("depolarizing_1q", 0.0), 0.01);
 }
 
 // The former representation-agnostic-sources grep test

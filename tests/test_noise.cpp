@@ -1,7 +1,9 @@
-// Tests for the stochastic Pauli noise engine: analytic channel checks
-// (readout flip, depolarizing fixed points), determinism, zero-noise
-// equivalence in distribution, and the context-block integration through
-// the gate backend.
+// Tests for stochastic Pauli noise in sim::Engine's trajectory loop:
+// analytic channel checks (readout flip, depolarizing fixed points),
+// determinism, zero-noise equivalence, golden counts pinned from the former
+// dedicated noisy engine, and the context-block integration through the gate
+// backend.  The NoisyEngine suite name is historical: every test drives
+// sim::Engine::run_counts with a NoiseModel.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,7 @@
 #include "algolib/qaoa.hpp"
 #include "backend/register_backends.hpp"
 #include "core/registry.hpp"
-#include "sim/noise.hpp"
+#include "sim/engine.hpp"
 #include "util/errors.hpp"
 
 namespace quml {
@@ -20,7 +22,7 @@ namespace {
 using sim::Circuit;
 using sim::CountMap;
 using sim::NoiseModel;
-using sim::NoisyEngine;
+using sim::Engine;
 
 double prob_of(const CountMap& counts, const std::string& key, std::int64_t shots) {
   const auto it = counts.find(key);
@@ -48,7 +50,7 @@ TEST(NoisyEngine, ReadoutFlipMatchesAnalytic) {
   NoiseModel model;
   model.readout_flip = 0.2;
   const std::int64_t shots = 100000;
-  const CountMap counts = NoisyEngine().run_counts(c, shots, 42, model);
+  const CountMap counts = Engine().run_counts(c, shots, 42, model);
   EXPECT_NEAR(prob_of(counts, "1", shots), 0.2, 0.01);
 }
 
@@ -61,7 +63,7 @@ TEST(NoisyEngine, Depolarizing1qFixedPoint) {
   NoiseModel model;
   model.depolarizing_1q = 0.3;
   const std::int64_t shots = 100000;
-  const CountMap counts = NoisyEngine().run_counts(c, shots, 7, model);
+  const CountMap counts = Engine().run_counts(c, shots, 7, model);
   EXPECT_NEAR(prob_of(counts, "0", shots), 0.3 * 2.0 / 3.0, 0.01);
 }
 
@@ -76,7 +78,7 @@ TEST(NoisyEngine, GhzParityDecaysWith2qNoise) {
     NoiseModel model;
     model.depolarizing_2q = p;
     const std::int64_t shots = 20000;
-    const CountMap counts = NoisyEngine().run_counts(c, shots, 3, model);
+    const CountMap counts = Engine().run_counts(c, shots, 3, model);
     std::int64_t even = 0;
     for (const auto& [key, n] : counts) {
       const bool all_same = key.find('0') == std::string::npos ||
@@ -99,7 +101,7 @@ TEST(NoisyEngine, ZeroNoiseMatchesIdealDistribution) {
   c.cx(0, 1);
   c.measure_all();
   const std::int64_t shots = 50000;
-  const CountMap noisy = NoisyEngine().run_counts(c, shots, 11, NoiseModel{});
+  const CountMap noisy = Engine().run_counts(c, shots, 11, NoiseModel{});
   // Only the Bell outcomes appear, each with ~1/2.
   EXPECT_EQ(noisy.size(), 2u);
   EXPECT_NEAR(prob_of(noisy, "00", shots), 0.5, 0.01);
@@ -116,22 +118,49 @@ TEST(NoisyEngine, DeterministicInSeed) {
   model.depolarizing_1q = 0.05;
   model.depolarizing_2q = 0.05;
   model.readout_flip = 0.02;
-  const CountMap a = NoisyEngine().run_counts(c, 2000, 5, model);
-  const CountMap b = NoisyEngine().run_counts(c, 2000, 5, model);
+  const CountMap a = Engine().run_counts(c, 2000, 5, model);
+  const CountMap b = Engine().run_counts(c, 2000, 5, model);
   EXPECT_EQ(a, b);
-  EXPECT_NE(a, NoisyEngine().run_counts(c, 2000, 6, model));
+  EXPECT_NE(a, Engine().run_counts(c, 2000, 6, model));
+}
+
+TEST(NoisyEngine, GoldenCountsWithMidCircuitMeasureAndReset) {
+  // Recorded from the dedicated per-shot noisy engine this loop replaced:
+  // same seed, same stream order (collapse, readout flip, reset channel, gate
+  // channels with the 3q gate split 2q + 1q), so the counts must not move.
+  Circuit c(3, 3);
+  c.h(0);
+  c.cx(0, 1);
+  c.measure(1, 0);
+  c.reset(1);
+  c.rx(0.9, 1);
+  c.cx(1, 2);
+  c.ccx(0, 1, 2);
+  c.measure(0, 1);
+  c.h(0);
+  c.measure(2, 2);
+  NoiseModel model;
+  model.depolarizing_1q = 0.05;
+  model.depolarizing_2q = 0.1;
+  model.readout_flip = 0.03;
+  const CountMap expected = {{"000", 310}, {"001", 48}, {"010", 68},  {"011", 371},
+                             {"100", 119}, {"101", 19}, {"110", 10}, {"111", 55}};
+  EXPECT_EQ(Engine().run_counts(c, 1000, 2024, model), expected);
 }
 
 TEST(NoisyEngine, InputValidation) {
   Circuit no_clbits(1, 0);
   no_clbits.h(0);
-  EXPECT_THROW(NoisyEngine().run_counts(no_clbits, 10, 0, NoiseModel{}), ValidationError);
+  EXPECT_THROW(Engine().run_counts(no_clbits, 10, 0, NoiseModel{}), ValidationError);
   Circuit no_measure(1, 1);
   no_measure.h(0);
-  EXPECT_THROW(NoisyEngine().run_counts(no_measure, 10, 0, NoiseModel{}), ValidationError);
+  EXPECT_THROW(Engine().run_counts(no_measure, 10, 0, NoiseModel{}), ValidationError);
   Circuit ok(1, 1);
   ok.measure(0, 0);
-  EXPECT_THROW(NoisyEngine().run_counts(ok, 0, 0, NoiseModel{}), ValidationError);
+  EXPECT_THROW(Engine().run_counts(ok, 0, 0, NoiseModel{}), ValidationError);
+  NoiseModel bad;
+  bad.readout_flip = 1.5;
+  EXPECT_THROW(Engine().run_counts(ok, 10, 0, bad), ValidationError);
 }
 
 // --- context integration ------------------------------------------------------
